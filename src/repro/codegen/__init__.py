@@ -7,6 +7,8 @@ from .runtime_glue import RUNTIME_HEADER, emit_network, emit_runtime_header
 from .native import (
     NATIVE_ABI_VERSION,
     SUPPORTED_KINDS,
+    NativeSources,
+    emit_kernel,
     emit_native_sources,
     full_run_eligible,
     native_step_indices,
@@ -23,15 +25,16 @@ from .build import (
     native_cache_dir,
     open_native_build_key,
     reset_build_stats,
+    source_key,
 )
 
 __all__ = [
     "CWriter", "classify_body", "emit_cpu_kernel", "kernel_signature",
     "emit_network", "emit_runtime_header", "RUNTIME_HEADER",
-    "NATIVE_ABI_VERSION", "SUPPORTED_KINDS", "emit_native_sources",
-    "full_run_eligible", "native_step_indices",
+    "NATIVE_ABI_VERSION", "SUPPORTED_KINDS", "NativeSources", "emit_kernel",
+    "emit_native_sources", "full_run_eligible", "native_step_indices",
     "NativeLibraryError", "NativeModule", "build_native_library",
     "build_stats", "find_c_compiler", "library_name", "library_path",
     "load_native_module", "native_cache_dir", "open_native_build_key",
-    "reset_build_stats",
+    "reset_build_stats", "source_key",
 ]

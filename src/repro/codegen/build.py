@@ -1,12 +1,14 @@
 """Build, cache, and load the native shared library for a model.
 
 The compile-once/serve-many split, taken to machine code: the first
-process that needs a model's native backend compiles ``native.c``
+process that needs a model's native backend compiles the emitted units
 (:func:`repro.codegen.native.emit_native_sources`) with the system C
 compiler into ``native-<fp16>-abi<N>.so`` next to the ``.dna`` (or in
 ``$REPRO_NATIVE_CACHE`` / ``~/.cache/repro/native``); every later
 process — a fleet worker, a CLI run, a benchmark — just ``dlopen``\\ s
-the cached file.
+the cached file. The distinct kernels are spread by size over one unit
+per available CPU; the units and the dispatch unit compile
+concurrently (``-c``) and are linked once.
 
 Persistence discipline mirrors :class:`repro.core.cache.TilingCache`:
 build into a private ``tempfile.mkdtemp`` inside the cache directory,
@@ -14,10 +16,13 @@ then ``os.replace`` the finished library into place. Concurrent
 builders race benignly — emission is deterministic in the fingerprint,
 so both produce equivalent libraries and the loser's ``os.replace``
 is a no-op overwrite. Staleness is proven, not assumed: the artifact
-fingerprint is baked into the library (``repro_native_build_key``) and
-re-checked after every ``dlopen``; a mismatched or unloadable library
-is deleted and rebuilt once, then given up on (``None`` → the caller
-falls back to the ``fast`` interpreter).
+fingerprint (``repro_native_build_key``) and a hash of the emitted
+sources, compiler and flags (``repro_native_source_key``,
+:func:`source_key`) are baked into the library and re-checked after
+every ``dlopen``; a mismatched or unloadable library is deleted and
+rebuilt once, then given up on (``None`` → the caller falls back to
+the ``fast`` interpreter). A host without a compiler cannot rebuild,
+so there only the build key is checked.
 
 Binding goes through :mod:`cffi` when importable, :mod:`ctypes`
 otherwise — both are stdlib-or-baked-in; no new dependencies.
@@ -25,18 +30,21 @@ otherwise — both are stdlib-or-baked-in; no new dependencies.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .native import (
     NATIVE_ABI_VERSION,
+    NativeSources,
     emit_native_sources,
     native_step_indices,
 )
@@ -55,6 +63,8 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 #: extra compiler flags appended to the default set (space-separated).
 CFLAGS_ENV = "REPRO_NATIVE_CFLAGS"
 
+_BASE_CFLAGS = ("-O3", "-fPIC", "-std=c11")
+
 _CC_TIMEOUT_S = 180.0
 
 _stats_lock = threading.Lock()
@@ -63,6 +73,8 @@ _STATS = {"builds": 0, "hits": 0, "misses": 0, "failures": 0}
 _warned_no_compiler = False
 
 _find_cache: Dict[tuple, Optional[str]] = {}
+
+_toolchain_ids: Dict[str, str] = {}
 
 _load_lock = threading.Lock()
 _LOADED: Dict[str, "NativeModule"] = {}
@@ -150,6 +162,45 @@ def library_path(model: CompiledModel, cache_dir: Optional[str] = None,
                         library_name(fingerprint))
 
 
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
+
+
+def _cflags() -> List[str]:
+    return list(_BASE_CFLAGS) + os.environ.get(CFLAGS_ENV, "").split()
+
+
+def _toolchain_id(compiler: str) -> str:
+    """``compiler``'s path plus its ``--version`` banner, queried once
+    per process and compiler."""
+    ident = _toolchain_ids.get(compiler)
+    if ident is None:
+        try:
+            banner = subprocess.run(
+                [compiler, "--version"], capture_output=True, text=True,
+                timeout=_CC_TIMEOUT_S).stdout
+        except (OSError, subprocess.TimeoutExpired) as exc:
+            banner = "no version (%s)" % exc
+        ident = _toolchain_ids.setdefault(compiler,
+                                          "%s\n%s" % (compiler, banner))
+    return ident
+
+
+def source_key(sources: NativeSources, compiler: str) -> str:
+    """Hash of everything that decides a library's bytes: the emitted
+    sources (build key included), the ABI, the compiler and the flags.
+    Baked into the library; a cached library with another source key
+    is stale and gets rebuilt."""
+    h = hashlib.sha256()
+    for part in (sources.digest(), str(NATIVE_ABI_VERSION),
+                 _toolchain_id(compiler), "\0".join(_cflags())):
+        h.update(part.encode() + b"\0")
+    return h.hexdigest()
+
+
 def build_native_library(model: CompiledModel,
                          cache_dir: Optional[str] = None,
                          compiler: Optional[str] = None,
@@ -157,54 +208,92 @@ def build_native_library(model: CompiledModel,
                          fingerprint: Optional[str] = None) -> Optional[str]:
     """Compile (or reuse) the cached shared library for ``model``.
 
-    Returns the library path, or ``None`` when no compiler is available
-    or compilation fails — never raises for toolchain problems.
+    A cached library is reused only when its build key and source key
+    match what this host would build. Returns the library path, or
+    ``None`` when no compiler is available or compilation fails —
+    never raises for toolchain problems.
     """
     if fingerprint is None:
         fingerprint = model.fingerprint()
     lib = library_path(model, cache_dir, fingerprint)
-    if not force and os.path.exists(lib):
-        _bump("hits")
-        return lib
-    _bump("misses")
     if compiler is None:
         compiler = find_c_compiler()
     if compiler is None:
+        # a toolchain-less host can still use a library built elsewhere
+        if not force and os.path.exists(lib):
+            _bump("hits")
+            return lib
+        _bump("misses")
         return None
+    sources = emit_native_sources(model, build_key=fingerprint)
+    key = source_key(sources, compiler)
+    if not force and _library_keys(lib) == (fingerprint, key):
+        _bump("hits")
+        return lib
+    _bump("misses")
+    return _compile(lib, sources, key, compiler)
+
+
+def _compile(lib: str, sources: NativeSources, key: str,
+             compiler: str) -> Optional[str]:
+    """Compile the units in parallel, link once, publish atomically."""
     parent = os.path.dirname(lib) or "."
     os.makedirs(parent, exist_ok=True)
-    source = emit_native_sources(model, build_key=fingerprint)
     tmpdir = tempfile.mkdtemp(prefix=".native-build-", dir=parent)
     try:
-        src_path = os.path.join(tmpdir, "native.c")
-        out_path = os.path.join(tmpdir, "native.so")
-        with open(src_path, "w") as fh:
-            fh.write(source)
-        cmd = [compiler, "-O3", "-fPIC", "-std=c11", "-shared"]
-        cmd += os.environ.get(CFLAGS_ENV, "").split()
-        cmd += ["-o", out_path, src_path]
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=_CC_TIMEOUT_S)
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            _bump("failures")
-            warnings.warn("native build failed to run %r: %s"
-                          % (compiler, exc), RuntimeWarning)
+        units = sources.units(_available_cpus(), key)
+        for name, text in units.items():
+            with open(os.path.join(tmpdir, name), "w") as fh:
+                fh.write(text)
+        c_units = sorted(n for n in units if n.endswith(".c"))
+        objs = [n[:-2] + ".o" for n in c_units]
+        flags = _cflags()
+
+        def cc(args: List[str], what: str) -> Optional[str]:
+            try:
+                proc = subprocess.run([compiler] + flags + args, cwd=tmpdir,
+                                      capture_output=True, text=True,
+                                      timeout=_CC_TIMEOUT_S)
+            except (OSError, subprocess.TimeoutExpired) as exc:
+                return "failed to run %r on %s: %s" % (compiler, what, exc)
+            if proc.returncode != 0:
+                return "%s exit %d on %s:\n%s" % (
+                    compiler, proc.returncode, what,
+                    proc.stderr.strip()[-2000:])
             return None
-        if proc.returncode != 0:
+
+        with ThreadPoolExecutor(max_workers=len(c_units)) as pool:
+            errors = list(pool.map(
+                lambda u: cc(["-c", "-o", u[0], u[1]], u[1]),
+                zip(objs, c_units)))
+        err = next((e for e in errors if e), None)
+        if err is None:
+            err = cc(["-shared", "-o", "native.so"] + objs, "link")
+        if err is not None:
             _bump("failures")
-            warnings.warn(
-                "native build failed (%s exit %d):\n%s"
-                % (compiler, proc.returncode, proc.stderr.strip()[-2000:]),
-                RuntimeWarning)
+            warnings.warn("native build failed (%s)" % err, RuntimeWarning)
             return None
         # atomic publish: concurrent builders emit identical semantics
         # for the same fingerprint, so last-writer-wins is safe
-        os.replace(out_path, lib)
+        os.replace(os.path.join(tmpdir, "native.so"), lib)
         _bump("builds")
         return lib
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)
+
+
+def _library_keys(path: str) -> Optional[Tuple[str, str]]:
+    """``(build key, source key)`` of the library at ``path``, or
+    ``None`` when it is missing, unloadable or of another ABI."""
+    if not os.path.exists(path):
+        return None
+    try:
+        binding = _open_binding(path)
+    except NativeLibraryError:
+        return None
+    if binding.abi != NATIVE_ABI_VERSION:
+        return None
+    return binding.build_key, binding.source_key
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +303,7 @@ def build_native_library(model: CompiledModel,
 _CDEF = """
 int32_t repro_native_abi(void);
 const char* repro_native_build_key(void);
+const char* repro_native_source_key(void);
 int32_t repro_native_num_steps(void);
 int32_t repro_native_step_supported(int32_t idx);
 int32_t repro_native_set_weights(int32_t idx, const void* w,
@@ -245,10 +335,18 @@ class _CffiBinding:
             self.abi = int(self._lib.repro_native_abi())
         except Exception as exc:
             raise NativeLibraryError("dlopen failed: %s" % exc) from exc
-        self.build_key = _FFI.string(
-            self._lib.repro_native_build_key()).decode("ascii")
+        try:
+            self.build_key = self._string(self._lib.repro_native_build_key)
+            self.source_key = self._string(
+                self._lib.repro_native_source_key)
+        except AttributeError as exc:
+            raise NativeLibraryError("missing symbol: %s" % exc) from exc
         self.num_steps = int(self._lib.repro_native_num_steps())
         self.has_full_run = bool(self._lib.repro_native_has_full_run())
+
+    @staticmethod
+    def _string(fn) -> str:
+        return _FFI.string(fn()).decode("ascii")
 
     def _p(self, addr: int):
         return _FFI.cast("void *", addr)
@@ -284,9 +382,10 @@ class _CtypesBinding:
             self.abi = int(fn())
         except (OSError, AttributeError) as exc:
             raise NativeLibraryError("dlopen failed: %s" % exc) from exc
-        key_fn = self._bind("repro_native_build_key", [], ctypes.c_char_p)
-        raw = key_fn()
-        self.build_key = (raw or b"").decode("ascii")
+        self.build_key, self.source_key = (
+            (self._bind(name, [], ctypes.c_char_p)() or b"").decode("ascii")
+            for name in ("repro_native_build_key",
+                         "repro_native_source_key"))
         self.num_steps = int(
             self._bind("repro_native_num_steps", [], ctypes.c_int32)())
         self.has_full_run = bool(
@@ -383,12 +482,15 @@ class NativeModule:
     """A loaded per-artifact native library bound to a model's weights.
 
     Thread-safe: a single lock serializes calls into the library
-    because kernels share ``static`` scratch (padding buffers, the
-    full-run arena) and the weight-pointer table.
+    because kernels share ``static`` scratch (padding buffers, which
+    steps bound to one kernel also share, and the full-run arena) and
+    the weight-pointer table. ``source_key`` (:func:`source_key`), when
+    given, must match the library's.
     """
 
     def __init__(self, path: str, model: CompiledModel,
-                 fingerprint: Optional[str] = None):
+                 fingerprint: Optional[str] = None,
+                 source_key: Optional[str] = None):
         if fingerprint is None:
             fingerprint = model.fingerprint()
         self.path = path
@@ -402,9 +504,15 @@ class NativeModule:
             raise NativeLibraryError(
                 "stale native library: build key %s.. != fingerprint %s.."
                 % (self._bind.build_key[:16], fingerprint[:16]))
+        if source_key is not None and self._bind.source_key != source_key:
+            raise NativeLibraryError(
+                "stale native library: source key %s.. != %s.. (other "
+                "sources, compiler or flags)"
+                % (self._bind.source_key[:16], source_key[:16]))
         if self._bind.num_steps != len(model.steps):
             raise NativeLibraryError("step count mismatch")
         self.build_key = fingerprint
+        self.source_key = self._bind.source_key
         self.num_steps = self._bind.num_steps
         self.has_full_run = self._bind.has_full_run
         self.native_idx = frozenset(native_step_indices(model))
@@ -516,22 +624,34 @@ def load_native_module(model: CompiledModel,
         return None
     fingerprint = model.fingerprint()
     lib = library_path(model, cache_dir, fingerprint)
-    if not os.path.exists(lib):
+    compiler = find_c_compiler()
+    sources, key = None, None
+    if compiler is not None:
+        sources = emit_native_sources(model, build_key=fingerprint)
+        key = source_key(sources, compiler)
+
+    def rebuild() -> bool:
         if not build:
-            return None
-        if build_native_library(model, cache_dir,
-                                fingerprint=fingerprint) is None:
+            return False
+        _bump("misses")
+        return (compiler is not None and sources is not None
+                and key is not None
+                and _compile(lib, sources, key, compiler) is not None)
+
+    if not os.path.exists(lib):
+        if not rebuild():
             return None
     else:
         _bump("hits")
     real = os.path.realpath(lib)
     with _load_lock:
         mod = _LOADED.get(real)
-        if mod is not None and mod.build_key == fingerprint:
+        if (mod is not None and mod.build_key == fingerprint
+                and key in (None, mod.source_key)):
             mod.register_weights(model)
             return mod
         try:
-            mod = NativeModule(lib, model, fingerprint)
+            mod = NativeModule(lib, model, fingerprint, key)
         except NativeLibraryError as exc:
             warnings.warn("discarding stale native library %s (%s)"
                           % (lib, exc), RuntimeWarning)
@@ -539,12 +659,10 @@ def load_native_module(model: CompiledModel,
                 os.unlink(lib)
             except OSError:
                 pass
-            if not build or build_native_library(
-                    model, cache_dir, force=True,
-                    fingerprint=fingerprint) is None:
+            if not rebuild():
                 return None
             try:
-                mod = NativeModule(lib, model, fingerprint)
+                mod = NativeModule(lib, model, fingerprint, key)
             except NativeLibraryError:
                 return None
         _LOADED[real] = mod

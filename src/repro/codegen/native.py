@@ -8,15 +8,18 @@ integer semantics are **bit-exact** against :mod:`repro.numerics` — so
 a ``.dna`` artifact can be compiled with the system C compiler and
 served natively (``exec_mode="native"``).
 
-One translation unit (``native.c``) per compiled model:
+One library per compiled model, emitted as :class:`NativeSources` and
+split into translation units by the build layer:
 
-* a ``static`` kernel per accelerator step (``conv2d``, ``dwconv2d``,
-  ``dense``, ``add``) replicating the accumulate → bias → round-half-up
-  shift → clip → int8 tail of
-  :func:`repro.numerics.requantize_acc` / ``bias_requantize``,
-* a stable exported ABI (``repro_native_*``; everything else has
-  internal linkage, so two artifacts load into one process without
-  symbol clashes),
+* one kernel per *distinct* accelerator layer (``conv2d``,
+  ``dwconv2d``, ``dense``, ``add``) replicating the accumulate → bias
+  → round-half-up shift → clip → int8 tail of
+  :func:`repro.numerics.requantize_acc` / ``bias_requantize``. Weights
+  and bias are arguments and the symbol is a hash of the body, so
+  repeated blocks share one kernel; kernels have hidden visibility,
+* a dispatch unit (``native.c``) with the per-step weight table and
+  the stable exported ABI (``repro_native_*``, the only exported
+  symbols, so two artifacts load into one process without clashes),
 * when *every* step is native-eligible, a whole-network entry point
   (``repro_native_run``) that walks the L2 memory plan's static arena —
   the paper's "single C function that executes all kernels
@@ -47,7 +50,9 @@ executor).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+import hashlib
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..dory.layer_spec import LayerSpec
 from .c_writer import CWriter
@@ -58,7 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: core imports codegen
 
 #: bumped whenever the exported symbol set or calling convention
 #: changes; baked into the library and checked at load time.
-NATIVE_ABI_VERSION = 1
+NATIVE_ABI_VERSION = 2
 
 #: accelerator step kinds the emitter covers.
 SUPPORTED_KINDS = ("conv2d", "dwconv2d", "dense", "add")
@@ -164,6 +169,14 @@ def full_run_eligible(model: CompiledModel,
 # kernel emission
 # ---------------------------------------------------------------------------
 
+#: stands in for the kernel's symbol until its body has been hashed.
+_SYM = "REPRO_KERNEL_SYM"
+
+_KERNEL_PARAMS = ("const int8_t* restrict x, const int8_t* y, "
+                  "int8_t* restrict out, int32_t n, "
+                  "const int8_t* restrict wgt, const int32_t* bias")
+
+
 def _requant_consts(spec: LayerSpec):
     lo, hi = (-64, 63) if spec.out_dtype == "int7" else (-128, 127)
     if spec.relu:
@@ -172,13 +185,22 @@ def _requant_consts(spec: LayerSpec):
     return lo, hi, rnd
 
 
-def _emit_badd(w: CWriter, i: int, spec: LayerSpec, ch_var: str):
+def _open_kernel(w: CWriter, spec: LayerSpec, uses_wgt: bool,
+                 uses_y: bool):
+    w.open(f"REPRO_HIDDEN void {_SYM}({_KERNEL_PARAMS})")
+    unused = [name for name, used in (("y", uses_y), ("wgt", uses_wgt),
+                                      ("bias", spec.bias is not None))
+              if not used]
+    if unused:
+        w.line(" ".join(f"(void){name};" for name in unused))
+
+
+def _emit_badd(w: CWriter, spec: LayerSpec, ch_var: str):
     """``badd = bias[ch] + rnd`` with int32 wraparound (bias_requantize
     folds the rounding term into the per-channel bias add)."""
     _, _, rnd = _requant_consts(spec)
     if spec.bias is not None:
-        w.line(f"const int32_t badd = RQ_WRAP_ADD(g_bias[{i}][{ch_var}], "
-               f"{rnd});")
+        w.line(f"const int32_t badd = RQ_WRAP_ADD(bias[{ch_var}], {rnd});")
     else:
         w.line(f"const int32_t badd = {rnd};")
 
@@ -194,7 +216,7 @@ def _emit_tail(w: CWriter, spec: LayerSpec, acc_expr: str, acc64: bool,
     w.line(f"{dst} = (int8_t)v;")
 
 
-def _emit_conv_kernel(w: CWriter, i: int, spec: LayerSpec):
+def _emit_conv_kernel(w: CWriter, spec: LayerSpec):
     dw = spec.kind == "dwconv2d"
     C, K = spec.in_channels, spec.out_channels
     IY, IX, OY, OX = spec.iy, spec.ix, spec.oy, spec.ox
@@ -206,33 +228,31 @@ def _emit_conv_kernel(w: CWriter, i: int, spec: LayerSpec):
     acc_t = "int64_t" if acc64 else "int32_t"
     padded = PY > 0 or PX > 0
 
-    w.comment(f"step {i}: {spec.kind} {spec.name} "
-              f"C={C} K={K} {IY}x{IX} -> {OY}x{OX} f={FY}x{FX} "
-              f"s={SY},{SX} p={PY},{PX} shift={spec.shift}")
+    w.comment(f"{spec.kind} C={C} K={K} {IY}x{IX} -> {OY}x{OX} "
+              f"f={FY}x{FX} s={SY},{SX} p={PY},{PX} shift={spec.shift}")
     if padded:
-        w.line(f"static int8_t s{i}_xpad[{C * IYP * IXP}];")
-    w.open(f"static void s{i}(const int8_t* restrict x, const int8_t* y, "
-           f"int8_t* restrict out, int32_t n)")
-    w.line("(void)y;")
-    w.line(f"const int8_t* restrict wgt = g_w[{i}];")
+        # shared by every step bound to this kernel: steps run one at
+        # a time (NativeModule's lock, the sequential full run)
+        w.line(f"static int8_t {_SYM}_xpad[{C * IYP * IXP}];")
+    _open_kernel(w, spec, uses_wgt=True, uses_y=False)
     w.open("for (int32_t b = 0; b < n; ++b)")
     w.line(f"const int8_t* xb = x + (int64_t)b * {C * IY * IX};")
     w.line(f"int8_t* ob = out + (int64_t)b * {K * OY * OX};")
     if padded:
         # zero-padded scratch copy: the hot loops below then need no
         # bounds checks, which is what lets -O3 vectorize the ox loop
-        w.line(f"memset(s{i}_xpad, 0, sizeof s{i}_xpad);")
+        w.line(f"memset({_SYM}_xpad, 0, sizeof {_SYM}_xpad);")
         w.open(f"for (int32_t c = 0; c < {C}; ++c)")
         w.open(f"for (int32_t iy = 0; iy < {IY}; ++iy)")
-        w.line(f"memcpy(s{i}_xpad + ((int64_t)c * {IYP} + iy + {PY}) "
+        w.line(f"memcpy({_SYM}_xpad + ((int64_t)c * {IYP} + iy + {PY}) "
                f"* {IXP} + {PX}, xb + ((int64_t)c * {IY} + iy) * {IX}, "
                f"{IX});")
         w.close().close()
-        w.line(f"const int8_t* xs = s{i}_xpad;")
+        w.line(f"const int8_t* xs = {_SYM}_xpad;")
     else:
         w.line("const int8_t* xs = xb;")
     w.open(f"for (int32_t k = 0; k < {K}; ++k)")
-    _emit_badd(w, i, spec, "k")
+    _emit_badd(w, spec, "k")
     w.open(f"for (int32_t oy = 0; oy < {OY}; ++oy)")
     w.line(f"{acc_t} acc[{OX}] = {{0}};")
     if dw:
@@ -264,24 +284,19 @@ def _emit_conv_kernel(w: CWriter, i: int, spec: LayerSpec):
     w.close()  # k
     w.close()  # b
     w.close()  # fn
-    w.line()
 
 
-def _emit_dense_kernel(w: CWriter, i: int, spec: LayerSpec):
+def _emit_dense_kernel(w: CWriter, spec: LayerSpec):
     C, K = spec.in_channels, spec.out_channels
     acc64 = _reduction(spec) > INT32_SAFE_REDUCTION
     acc_t = "int64_t" if acc64 else "int32_t"
-    w.comment(f"step {i}: dense {spec.name} C={C} K={K} "
-              f"shift={spec.shift}")
-    w.open(f"static void s{i}(const int8_t* restrict x, const int8_t* y, "
-           f"int8_t* restrict out, int32_t n)")
-    w.line("(void)y;")
-    w.line(f"const int8_t* restrict wgt = g_w[{i}];")
+    w.comment(f"dense C={C} K={K} shift={spec.shift}")
+    _open_kernel(w, spec, uses_wgt=True, uses_y=False)
     w.open("for (int32_t b = 0; b < n; ++b)")
     w.line(f"const int8_t* xb = x + (int64_t)b * {C};")
     w.line(f"int8_t* ob = out + (int64_t)b * {K};")
     w.open(f"for (int32_t k = 0; k < {K}; ++k)")
-    _emit_badd(w, i, spec, "k")
+    _emit_badd(w, spec, "k")
     w.line(f"const int8_t* wr = wgt + (int64_t)k * {C};")
     w.line(f"{acc_t} acc = 0;")
     w.open(f"for (int32_t c = 0; c < {C}; ++c)")
@@ -291,23 +306,20 @@ def _emit_dense_kernel(w: CWriter, i: int, spec: LayerSpec):
     w.close()  # k
     w.close()  # b
     w.close()
-    w.line()
 
 
-def _emit_add_kernel(w: CWriter, i: int, spec: LayerSpec):
+def _emit_add_kernel(w: CWriter, spec: LayerSpec):
     C = spec.in_channels
     inner = spec.oy * spec.ox
     elems = C * inner
-    w.comment(f"step {i}: add {spec.name} C={C} inner={inner} "
-              f"shift={spec.shift}")
-    w.open(f"static void s{i}(const int8_t* restrict x, const int8_t* y, "
-           f"int8_t* restrict out, int32_t n)")
+    w.comment(f"add C={C} inner={inner} shift={spec.shift}")
+    _open_kernel(w, spec, uses_wgt=False, uses_y=True)
     w.open("for (int32_t b = 0; b < n; ++b)")
     w.line(f"const int8_t* xb = x + (int64_t)b * {elems};")
     w.line(f"const int8_t* yb = y + (int64_t)b * {elems};")
     w.line(f"int8_t* ob = out + (int64_t)b * {elems};")
     w.open(f"for (int32_t c = 0; c < {C}; ++c)")
-    _emit_badd(w, i, spec, "c")
+    _emit_badd(w, spec, "c")
     w.line(f"const int8_t* xr = xb + (int64_t)c * {inner};")
     w.line(f"const int8_t* yr = yb + (int64_t)c * {inner};")
     w.line(f"int8_t* orow = ob + (int64_t)c * {inner};")
@@ -317,7 +329,6 @@ def _emit_add_kernel(w: CWriter, i: int, spec: LayerSpec):
     w.close()  # c
     w.close()  # b
     w.close()
-    w.line()
 
 
 _KERNEL_EMITTERS = {
@@ -328,11 +339,119 @@ _KERNEL_EMITTERS = {
 }
 
 
+def emit_kernel(spec: LayerSpec) -> Tuple[str, str]:
+    """``(symbol, definition)`` of the exact kernel for one layer.
+
+    Weights and bias are arguments and the symbol is a hash of the
+    body, so layers with the same geometry, dtypes and requant
+    constants share one kernel while binding their own weights.
+    """
+    w = CWriter()
+    _KERNEL_EMITTERS[spec.kind](w, spec)
+    body = w.source()
+    sym = "k_" + hashlib.sha256(body.encode()).hexdigest()[:16]
+    return sym, body.replace(_SYM, sym)
+
+
 # ---------------------------------------------------------------------------
-# translation unit
+# translation units
 # ---------------------------------------------------------------------------
 
-def _emit_dispatch(w: CWriter, model: CompiledModel, native_idx: List[int]):
+@dataclass(frozen=True)
+class NativeSources:
+    """A model's native library as emitted, before it is split into
+    translation units (:meth:`units`)."""
+
+    #: ``native.h``: arithmetic macros and the hidden kernel prototypes
+    header: str
+    #: kernel symbol -> definition, one entry per distinct kernel
+    kernels: Dict[str, str]
+    #: ``native.c`` body: weight table, exported ABI, dispatch, full run
+    dispatch: str
+    #: step index -> the kernel symbol that step calls
+    step_kernels: Dict[int, str]
+
+    def digest(self) -> str:
+        """sha256 over everything emitted, independent of how the
+        kernels are later split into units."""
+        h = hashlib.sha256()
+        for part in (self.header, self.dispatch, *sorted(self.kernels.items())):
+            h.update(repr(part).encode())
+        return h.hexdigest()
+
+    def units(self, n_units: int, source_key: str) -> Dict[str, str]:
+        """File name -> C source: ``native.h``, ``native.c`` (which also
+        exports ``source_key``) and the kernels balanced by size over
+        at most ``n_units`` ``kernels<j>.c`` units."""
+        n_units = max(1, min(n_units, len(self.kernels)))
+        bins: List[List[str]] = [[] for _ in range(n_units)]
+        load = [0] * n_units
+        for sym in sorted(self.kernels,
+                          key=lambda s: (-len(self.kernels[s]), s)):
+            j = min(range(n_units), key=lambda u: (load[u], u))
+            bins[j].append(sym)
+            load[j] += len(self.kernels[sym])
+        files = {"native.h": self.header,
+                 "native.c": self.dispatch + _source_key_fn(source_key)}
+        for j, syms in enumerate(bins):
+            if syms:
+                files[f"kernels{j}.c"] = "".join(
+                    ['#include "native.h"\n\n']
+                    + [self.kernels[s] + "\n" for s in sorted(syms)])
+        return files
+
+
+def _source_key_fn(source_key: str) -> str:
+    w = CWriter()
+    w.open("const char* repro_native_source_key(void)")
+    w.line(f"return \"{source_key}\";")
+    w.close()
+    return w.source()
+
+
+def _emit_header(model: CompiledModel, kernels: Dict[str, str]) -> str:
+    w = CWriter()
+    w.comment(f"repro native backend: {model.name} [{model.config_name}]")
+    w.comment("generated code - do not edit; semantics mirror "
+              "repro.numerics bit-for-bit (see codegen/native.py)")
+    w.line("#ifndef REPRO_NATIVE_H")
+    w.line("#define REPRO_NATIVE_H")
+    w.line("#include <stdint.h>")
+    w.line("#include <string.h>")
+    w.line()
+    w.comment("two's-complement wraparound add / int64 -> int32 "
+              "narrowing via unsigned arithmetic (defined behaviour; "
+              "the final unsigned -> signed conversion is modular on "
+              "every compiler the build layer accepts)")
+    w.line("#define RQ_WRAP_ADD(a, b) "
+           "((int32_t)(uint32_t)((uint32_t)(a) + (uint32_t)(b)))")
+    w.line("#define RQ_NARROW64(a) ((int32_t)(uint32_t)(uint64_t)(a))")
+    w.comment("kernels are shared between units but never exported")
+    w.line("#define REPRO_HIDDEN __attribute__((visibility(\"hidden\")))")
+    w.line()
+    for sym in sorted(kernels):
+        w.line(f"REPRO_HIDDEN void {sym}({_KERNEL_PARAMS});")
+    w.line()
+    w.line("#endif")
+    return w.source()
+
+
+def _emit_call(w: CWriter, sym: str, i: int, x: str, y: str, out: str,
+               n: str):
+    w.line(f"{sym}({x}, {y}, {out}, {n}, g_w[{i}], g_bias[{i}]);")
+
+
+def _emit_weight_checks(w: CWriter, model: CompiledModel, i: int):
+    spec = model.steps[i].spec
+    if spec.kind != "add":
+        w.line(f"if (!g_w[{i}]) return -2;")
+    if spec.bias is not None:
+        w.line(f"if (!g_bias[{i}]) return -2;")
+
+
+def _emit_dispatch(w: CWriter, model: CompiledModel,
+                   step_kernels: Dict[int, str]):
+    native_idx = sorted(step_kernels)
     w.open("int32_t repro_native_step_supported(int32_t idx)")
     if native_idx:
         w.open("switch (idx)")
@@ -362,14 +481,12 @@ def _emit_dispatch(w: CWriter, model: CompiledModel, native_idx: List[int]):
         for i in native_idx:
             spec = model.steps[i].spec
             w.open(f"case {i}:")
-            if spec.kind != "add":
-                w.line(f"if (!g_w[{i}]) return -2;")
-            else:
+            w.comment(f"{spec.kind} {spec.name}")
+            _emit_weight_checks(w, model, i)
+            if spec.kind == "add":
                 w.line("if (!y) return -1;")
-            if spec.bias is not None:
-                w.line(f"if (!g_bias[{i}]) return -2;")
-            w.line(f"s{i}((const int8_t*)x, (const int8_t*)y, "
-                   f"(int8_t*)out, n);")
+            _emit_call(w, step_kernels[i], i, "(const int8_t*)x",
+                       "(const int8_t*)y", "(int8_t*)out", "n")
             w.line("return 0;")
             w.close()
         w.line("default: return -1;")
@@ -381,7 +498,9 @@ def _emit_dispatch(w: CWriter, model: CompiledModel, native_idx: List[int]):
     w.line()
 
 
-def _emit_full_run(w: CWriter, model: CompiledModel, native_idx: List[int]):
+def _emit_full_run(w: CWriter, model: CompiledModel,
+                   step_kernels: Dict[int, str]):
+    native_idx = sorted(step_kernels)
     eligible = full_run_eligible(model, native_idx)
     w.open("int32_t repro_native_has_full_run(void)")
     w.line(f"return {1 if eligible else 0};")
@@ -405,11 +524,7 @@ def _emit_full_run(w: CWriter, model: CompiledModel, native_idx: List[int]):
            "void* output, int32_t n)")
     w.line("if (n <= 0 || !inputs || !output) return -1;")
     for i in native_idx:
-        spec = model.steps[i].spec
-        if spec.kind != "add":
-            w.line(f"if (!g_w[{i}]) return -2;")
-        if spec.bias is not None:
-            w.line(f"if (!g_bias[{i}]) return -2;")
+        _emit_weight_checks(w, model, i)
     w.open("for (int32_t b = 0; b < n; ++b)")
     names = {}
     for j, name in enumerate(model.input_names):
@@ -429,7 +544,7 @@ def _emit_full_run(w: CWriter, model: CompiledModel, native_idx: List[int]):
     for i, step in enumerate(model.steps):
         x = names[step.input_names[0]]
         y = names[step.input_names[1]] if step.spec.kind == "add" else "0"
-        w.line(f"s{i}({x}, {y}, {names[step.output_name]}, 1);")
+        _emit_call(w, step_kernels[i], i, x, y, names[step.output_name], "1")
     w.line(f"memcpy((int8_t*)output + (int64_t)b * {out_bytes}, "
            f"{names[out_name]}, {out_bytes});")
     w.close()  # b
@@ -439,8 +554,8 @@ def _emit_full_run(w: CWriter, model: CompiledModel, native_idx: List[int]):
 
 
 def emit_native_sources(model: CompiledModel,
-                        build_key: Optional[str] = None) -> str:
-    """Emit ``native.c`` for ``model``.
+                        build_key: Optional[str] = None) -> NativeSources:
+    """Emit the native library for ``model``.
 
     ``build_key`` (default: ``model.fingerprint()``) is baked into the
     library and re-checked at load time — the build cache's staleness
@@ -449,35 +564,22 @@ def emit_native_sources(model: CompiledModel,
     """
     if build_key is None:
         build_key = model.fingerprint()
-    native_idx = native_step_indices(model)
-    n_steps = len(model.steps)
+    kernels: Dict[str, str] = {}
+    step_kernels: Dict[int, str] = {}
+    for i in native_step_indices(model):
+        sym, body = emit_kernel(model.steps[i].spec)
+        kernels[sym] = body
+        step_kernels[i] = sym
 
     w = CWriter()
-    w.comment(f"repro native backend: {model.name} [{model.config_name}]")
-    w.comment("generated code - do not edit; semantics mirror "
-              "repro.numerics bit-for-bit (see codegen/native.py)")
-    w.line("#include <stdint.h>")
-    w.line("#include <string.h>")
+    w.line('#include "native.h"')
     w.line()
-    w.comment("two's-complement wraparound add / int64 -> int32 "
-              "narrowing via unsigned arithmetic (defined behaviour; "
-              "the final unsigned -> signed conversion is modular on "
-              "every compiler the build layer accepts)")
-    w.line("#define RQ_WRAP_ADD(a, b) "
-           "((int32_t)(uint32_t)((uint32_t)(a) + (uint32_t)(b)))")
-    w.line("#define RQ_NARROW64(a) ((int32_t)(uint32_t)(uint64_t)(a))")
-    w.line()
-    w.line(f"enum {{ REPRO_NATIVE_NUM_STEPS = {n_steps} }};")
+    w.line(f"enum {{ REPRO_NATIVE_NUM_STEPS = {len(model.steps)} }};")
     w.line(f"static const char g_build_key[] = \"{build_key}\";")
     w.line("static const int8_t* g_w[REPRO_NATIVE_NUM_STEPS];")
     w.line("static const int32_t* g_bias[REPRO_NATIVE_NUM_STEPS];")
     w.line()
-
-    for i in native_idx:
-        spec = model.steps[i].spec
-        _KERNEL_EMITTERS[spec.kind](w, i, spec)
-
-    w.comment("---- exported ABI (everything above is static) ----")
+    w.comment("---- exported ABI (the kernels are hidden) ----")
     w.open("int32_t repro_native_abi(void)")
     w.line(f"return {NATIVE_ABI_VERSION};")
     w.close()
@@ -490,6 +592,8 @@ def emit_native_sources(model: CompiledModel,
     w.line("return REPRO_NATIVE_NUM_STEPS;")
     w.close()
     w.line()
-    _emit_dispatch(w, model, native_idx)
-    _emit_full_run(w, model, native_idx)
-    return w.source()
+    _emit_dispatch(w, model, step_kernels)
+    _emit_full_run(w, model, step_kernels)
+    return NativeSources(header=_emit_header(model, kernels),
+                         kernels=dict(sorted(kernels.items())),
+                         dispatch=w.source(), step_kernels=step_kernels)

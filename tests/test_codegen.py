@@ -191,10 +191,21 @@ class TestCSyntax:
         from repro.codegen import emit_native_sources
 
         model = compile_model(small_cnn, digital_soc, HTVM)
-        path = tmp_path / "native.c"
-        path.write_text(emit_native_sources(model))
-        proc = subprocess.run(
-            [_compiler(), "-fsyntax-only", "-std=c11", "-Wall", "-Werror",
-             str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, f"native.c:\n{proc.stderr}"
+        src = emit_native_sources(model)
+        for n_units in (1, 3):
+            units = src.units(n_units, "0" * 64)
+            assert "native.c" in units and "native.h" in units
+            assert sum(name.startswith("kernels") for name in units) \
+                == min(n_units, len(src.kernels))
+            out = tmp_path / f"units{n_units}"
+            out.mkdir()
+            for name, text in units.items():
+                (out / name).write_text(text)
+            for name in units:
+                if not name.endswith(".c"):
+                    continue
+                proc = subprocess.run(
+                    [_compiler(), "-fsyntax-only", "-std=c11", "-Wall",
+                     "-Werror", str(out / name)],
+                    capture_output=True, text=True)
+                assert proc.returncode == 0, f"{name}:\n{proc.stderr}"

@@ -8,7 +8,10 @@ degrades to ``fast`` (never to wrong answers) whenever the toolchain
 or a cached library is missing, stale, or corrupt.
 """
 
+import ctypes
+import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -17,18 +20,22 @@ import warnings
 import numpy as np
 import pytest
 
+import repro.codegen.build as build_mod
 from repro.codegen.build import (
     build_native_library, build_stats, find_c_compiler, library_name,
     library_path, load_native_module, native_cache_dir, reset_build_stats,
+    source_key,
 )
 from repro.codegen.native import (
-    emit_native_sources, full_run_eligible, native_step_indices,
+    emit_kernel, emit_native_sources, full_run_eligible, native_step_indices,
 )
 from repro.core import CompilerConfig, compile_model
 from repro.errors import OutOfMemoryError
 from repro.eval.harness import CONFIGS
 from repro.frontend.modelzoo import MLPERF_TINY
+from repro.ir import GraphBuilder
 from repro.runtime import Executor, random_inputs
+from repro.runtime.executor import execute_layer_fast
 from repro.serve import FleetConfig, ServingFleet, pack_model
 from repro.soc import DianaSoC
 
@@ -242,6 +249,101 @@ class TestBuildCache:
         assert load_native_module(compiled,
                                   cache_dir=str(tmp_path)) is not None
 
+    def test_cflags_change_rebuilds(self, tmp_path, monkeypatch,
+                                    digital_soc, small_cnn):
+        compiled = self._compiled(digital_soc, small_cnn)
+        feeds = random_inputs(small_cnn, seed=4)
+        reset_build_stats()
+        first = load_native_module(compiled, cache_dir=str(tmp_path))
+        assert first is not None
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-DREPRO_TEST_FLAG=1")
+        # the build path sees the cached library as another recipe's
+        assert build_native_library(compiled, cache_dir=str(tmp_path))
+        assert build_stats()["builds"] == 2
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-DREPRO_TEST_FLAG=2")
+        # and so does the load path, also past its in-process memo
+        with pytest.warns(RuntimeWarning, match="stale native library"):
+            second = load_native_module(compiled, cache_dir=str(tmp_path))
+        assert second is not None
+        assert build_stats()["builds"] == 3
+        assert second.source_key != first.source_key
+        nat = Executor(digital_soc, exec_mode="native",
+                       native_cache_dir=str(tmp_path)).run(compiled, feeds)
+        fast = Executor(digital_soc, exec_mode="fast").run(compiled, feeds)
+        np.testing.assert_array_equal(nat.output, fast.output)
+
+    def test_emitter_change_rebuilds(self, tmp_path, monkeypatch,
+                                     digital_soc, small_cnn):
+        compiled = self._compiled(digital_soc, small_cnn)
+        reset_build_stats()
+        lib = build_native_library(compiled, cache_dir=str(tmp_path))
+        assert build_native_library(compiled, cache_dir=str(tmp_path)) == lib
+        assert build_stats() == {"builds": 1, "hits": 1, "misses": 1,
+                                 "failures": 0}
+        emit = build_mod.emit_native_sources
+
+        def changed_emitter(model, build_key=None):
+            src = emit(model, build_key)
+            return dataclasses.replace(
+                src, header=src.header + "/* emitter v2 */\n")
+
+        monkeypatch.setattr(build_mod, "emit_native_sources",
+                            changed_emitter)
+        assert build_native_library(compiled, cache_dir=str(tmp_path)) == lib
+        assert build_stats()["builds"] == 2
+
+    def test_source_key_covers_compiler_and_flags(self, monkeypatch,
+                                                  digital_soc, small_cnn):
+        src = emit_native_sources(
+            self._compiled(digital_soc, small_cnn))
+        monkeypatch.setitem(build_mod._toolchain_ids, "/x/cc", "/x/cc\nv1")
+        monkeypatch.setitem(build_mod._toolchain_ids, "/y/cc", "/y/cc\nv1")
+        base = source_key(src, "/x/cc")
+        assert source_key(src, "/x/cc") == base
+        assert source_key(src, "/y/cc") != base
+        monkeypatch.setitem(build_mod._toolchain_ids, "/x/cc", "/x/cc\nv2")
+        assert source_key(src, "/x/cc") != base
+        monkeypatch.setitem(build_mod._toolchain_ids, "/x/cc", "/x/cc\nv1")
+        monkeypatch.setenv("REPRO_NATIVE_CFLAGS", "-march=native")
+        assert source_key(src, "/x/cc") != base
+
+    def test_failed_unit_publishes_nothing(self, tmp_path, monkeypatch,
+                                           digital_soc):
+        """One of several concurrently compiled units fails: no library,
+        no build directory, and that unit's diagnostics in the warning."""
+        compiled = compile_model(MLPERF_TINY["dscnn"](precision="int8"),
+                                 digital_soc, CompilerConfig())
+        emit = build_mod.emit_native_sources
+        broken = {}
+
+        def broken_emitter(model, build_key=None):
+            src = emit(model, build_key)
+            sym = sorted(src.kernels)[0]
+            broken["sym"] = sym
+            kernels = dict(src.kernels)
+            kernels[sym] += "#error unit deliberately broken\n"
+            return dataclasses.replace(src, kernels=kernels)
+
+        monkeypatch.setattr(build_mod, "emit_native_sources",
+                            broken_emitter)
+        monkeypatch.setattr(build_mod, "_available_cpus", lambda: 3)
+        reset_build_stats()
+        with pytest.warns(RuntimeWarning) as caught:
+            lib = build_native_library(compiled, cache_dir=str(tmp_path))
+        assert lib is None
+        msg = "\n".join(str(w.message) for w in caught)
+        assert "unit deliberately broken" in msg
+        unit = next(name for name, text in broken_emitter(compiled)
+                    .units(3, "").items() if broken["sym"] + "(" in text
+                    and name.startswith("kernels"))
+        assert unit in msg
+        assert build_stats()["failures"] == 1
+        assert os.listdir(tmp_path) == []
+        with pytest.warns(RuntimeWarning):
+            assert load_native_module(compiled,
+                                      cache_dir=str(tmp_path)) is None
+        assert os.listdir(tmp_path) == []
+
     def test_cache_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
         assert native_cache_dir("/elsewhere/model.dna") == str(tmp_path)
@@ -287,6 +389,27 @@ class TestSymbolIsolation:
             out_b, Executor(digital_soc,
                             exec_mode="fast").run(b, feeds_b).output)
 
+    def test_only_abi_symbols_exported(self, tmp_path, digital_soc):
+        """The dynamic symbol table holds the ``repro_native_*`` ABI and
+        nothing else: kernels are hidden, scratch and tables static."""
+        compiled = compile_model(MLPERF_TINY["dscnn"](precision="int8"),
+                                 digital_soc, CompilerConfig())
+        lib = build_native_library(compiled, cache_dir=str(tmp_path))
+        assert lib is not None
+        handle = ctypes.CDLL(lib)
+        for sym in emit_native_sources(compiled).kernels:
+            assert not hasattr(handle, sym), f"{sym} is exported"
+        assert hasattr(handle, "repro_native_run_step")
+        if shutil.which("nm") is None:
+            pytest.skip("nm not on PATH")
+        proc = subprocess.run(["nm", "-D", "--defined-only", lib],
+                              capture_output=True, text=True, check=True)
+        exported = [line.split()[-1] for line in proc.stdout.splitlines()
+                    if line.strip()]
+        assert "repro_native_run_step" in exported
+        assert [s for s in exported
+                if not s.startswith("repro_native_")] == []
+
 
 # ---------------------------------------------------------------------------
 # emission properties (no toolchain needed)
@@ -295,24 +418,156 @@ class TestSymbolIsolation:
 class TestEmission:
     def test_build_key_baked_in(self, digital_soc, small_cnn):
         compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
-        src = emit_native_sources(compiled)
+        src = emit_native_sources(compiled).dispatch
         assert compiled.fingerprint() in src
         assert "repro_native_build_key" in src
 
-    def test_all_symbols_static_except_abi(self, digital_soc, small_cnn):
-        compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
+    def test_units_split_kernels_without_losing_any(self):
+        compiled = compile_model(MLPERF_TINY["mobilenet"](precision="int8"),
+                                 DianaSoC(enable_analog=False),
+                                 CompilerConfig())
         src = emit_native_sources(compiled)
-        for line in src.splitlines():
-            if (line.startswith(("void ", "int32_t ", "const char* "))
-                    and "(" in line):
-                assert "repro_native_" in line, (
-                    f"non-ABI symbol with external linkage: {line}")
+        for n in (1, 2, 3, 64):
+            units = src.units(n, "k" * 64)
+            kernel_units = [u for u in units if u.startswith("kernels")]
+            assert len(kernel_units) == min(n, len(src.kernels))
+            for sym in src.kernels:
+                owners = [u for u in kernel_units
+                          if f"void {sym}(" in units[u]]
+                assert len(owners) == 1
+            assert '"' + "k" * 64 + '"' in units["native.c"]
+        sizes = [len(t) for u, t in src.units(2, "").items()
+                 if u.startswith("kernels")]
+        assert max(sizes) < 1.5 * min(sizes)  # balanced by size
 
     def test_library_name_is_fingerprint_keyed(self, digital_soc,
                                                small_cnn):
         compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
         fp = compiled.fingerprint()
         assert library_name(fp).startswith(f"native-{fp[:16]}-abi")
+
+
+# ---------------------------------------------------------------------------
+# one kernel per distinct layer
+# ---------------------------------------------------------------------------
+
+def _conv_chain(depth: int = 3, channels: int = 16, hw: int = 24):
+    """Same-geometry padded convs: one shared kernel, one full run."""
+    b = GraphBuilder(name="conv_chain", seed=3)
+    x = b.input("data", (1, channels, hw, hw), "int8")
+    for _ in range(depth):
+        x = b.conv2d_requant(x, channels, kernel=3, padding=(1, 1))
+    return b.finish(x)
+
+
+class TestKernelDedup:
+    def test_dscnn_blocks_share_kernels(self, digital_soc):
+        compiled = compile_model(MLPERF_TINY["dscnn"](precision="int8"),
+                                 digital_soc, CompilerConfig())
+        src = emit_native_sources(compiled)
+        assert len(src.step_kernels) == 10 and len(src.kernels) == 4
+        by_sym = {}
+        for i, sym in src.step_kernels.items():
+            by_sym.setdefault(sym, []).append(i)
+        shared = [idx for idx in by_sym.values() if len(idx) > 1]
+        assert shared
+        for idx in shared:
+            weights = [compiled.steps[i].spec.weight for i in idx]
+            assert not all(np.array_equal(weights[0], w)
+                           for w in weights[1:])
+        # every call site passes its own step's weight/bias slot
+        for i, sym in src.step_kernels.items():
+            assert f"{sym}((const int8_t*)x, (const int8_t*)y, " \
+                   f"(int8_t*)out, n, g_w[{i}], g_bias[{i}]);" in src.dispatch
+
+    @needs_cc
+    def test_shared_kernels_bind_their_own_weights(self, digital_soc,
+                                                   shared_cache):
+        graph = MLPERF_TINY["dscnn"](precision="int8")
+        compiled = compile_model(graph, digital_soc, CompilerConfig())
+        mod = load_native_module(compiled, cache_dir=shared_cache)
+        assert mod is not None
+        src = emit_native_sources(compiled)
+        counts = {}
+        for sym in src.step_kernels.values():
+            counts[sym] = counts.get(sym, 0) + 1
+        shared = [i for i, sym in src.step_kernels.items() if counts[sym] > 1]
+        rng = np.random.default_rng(0)
+        for i in shared:
+            spec = compiled.steps[i].spec
+            accel = digital_soc.accelerator(compiled.steps[i].accel_target)
+            x = rng.integers(-128, 128, size=(2, spec.in_channels, spec.iy,
+                                              spec.ix), dtype=np.int8)
+            np.testing.assert_array_equal(mod.run_step(i, spec, x),
+                                          execute_layer_fast(accel, spec, x))
+        feeds = random_inputs(graph, seed=8)
+        nat = Executor(digital_soc, exec_mode="native",
+                       native_cache_dir=shared_cache).run(compiled, feeds)
+        fast = Executor(digital_soc, exec_mode="fast").run(compiled, feeds)
+        np.testing.assert_array_equal(nat.output, fast.output)
+        assert nat.total_cycles == fast.total_cycles
+
+    def test_requant_constants_are_never_merged(self, digital_soc,
+                                                small_cnn):
+        compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
+        for step in compiled.steps:
+            spec = getattr(step, "spec", None)
+            if spec is None or spec.kind not in ("conv2d", "dense", "add"):
+                continue
+            sym, _ = emit_kernel(spec)
+            w = None if spec.weight is None else spec.weight + 1
+            same = dataclasses.replace(spec, name="other", weight=w)
+            assert emit_kernel(same)[0] == sym
+            for change in ({"shift": spec.shift + 1}, {"relu": not spec.relu},
+                           {"out_dtype": "int7" if spec.out_dtype == "int8"
+                            else "int8"}):
+                other = dataclasses.replace(spec, **change)
+                assert emit_kernel(other)[0] != sym, (spec.kind, change)
+
+    @needs_cc
+    def test_shared_padding_scratch(self, tmp_path, digital_soc):
+        """Steps sharing one padded kernel share its static scratch; the
+        module lock and the sequential full run keep that exact."""
+        graph = _conv_chain()
+        compiled = compile_model(graph, digital_soc, CompilerConfig())
+        src = emit_native_sources(compiled)
+        assert len(set(src.step_kernels.values())) == 1
+        assert "_xpad[" in next(iter(src.kernels.values()))
+        mod = load_native_module(compiled, cache_dir=str(tmp_path))
+        assert mod is not None and mod.has_full_run
+        rng = np.random.default_rng(1)
+        shape = graph.inputs[0].shape[1:]
+        feeds = {"data": rng.integers(-128, 128, size=(3,) + shape,
+                                      dtype=np.int8)}
+        nat = Executor(digital_soc, exec_mode="native",
+                       native_cache_dir=str(tmp_path))
+        fast = Executor(digital_soc, exec_mode="fast")
+        np.testing.assert_array_equal(
+            nat.run_batch(compiled, feeds).outputs,
+            fast.run_batch(compiled, feeds).outputs)
+
+        cases = []
+        for i, step in enumerate(compiled.steps):
+            accel = digital_soc.accelerator(step.accel_target)
+            x = rng.integers(-128, 128, size=(1,) + shape, dtype=np.int8)
+            cases.append((i, step.spec, x,
+                          execute_layer_fast(accel, step.spec, x)))
+        errors = []
+
+        def hammer(k):
+            for r in range(30):
+                i, spec, x, want = cases[(k + r) % len(cases)]
+                got = mod.run_step(i, spec, x)
+                if got is None or not np.array_equal(got, want):
+                    errors.append((k, r, i))
+
+        threads = [threading.Thread(target=hammer, args=(k,))
+                   for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert errors == []
 
 
 # ---------------------------------------------------------------------------
