@@ -4,12 +4,17 @@ For every MLPerf Tiny model (digital configuration) the benchmark
 measures the three costs that matter for the compile-once/serve-many
 story of ``exec_mode="native"``:
 
-* **cold build** — ``cc -O3`` of the emitted ``native.c`` into the
+* **cold build** — ``cc -O3`` of the emitted units into the
   fingerprint-keyed shared library (paid once per artifact, ever),
 * **warm load**  — ``dlopen`` + ABI check + weight binding (paid once
   per process),
 * **steady state** — single-request latency of the loaded library vs.
   the ``fast`` interpreter, the number a serving worker lives on.
+
+Per-kind rows time every native step of the zoo on its own, C kernel
+against the ``fast`` kernel, and report the median per step kind: the
+evidence for which kinds the emitter covers (``SUPPORTED_KINDS``).
+All timings are steady-state medians over ``--reps`` calls.
 
 Every timed pair is first checked byte-identical against ``fast`` and
 ``tiled`` (identical modeled cycles too); ``--check`` runs only that
@@ -25,6 +30,7 @@ import argparse
 import json
 import pathlib
 import shutil
+import statistics
 import sys
 import tempfile
 import time
@@ -32,7 +38,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_timing import best_of
+from bench_timing import median_of
 from repro.codegen.build import (
     NativeModule, build_native_library, find_c_compiler,
     load_native_module,
@@ -41,6 +47,7 @@ from repro.core.compiler import compile_model
 from repro.eval.harness import CONFIGS
 from repro.frontend.modelzoo import MLPERF_TINY
 from repro.runtime import Executor, random_inputs
+from repro.runtime.executor import execute_layer_fast
 from repro.soc import DianaSoC
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -98,6 +105,42 @@ def run_check(cache_dir: str, models=MODELS) -> dict:
     return gate
 
 
+def _step_input(spec, rng):
+    shape = ((spec.in_channels,) if spec.kind == "dense"
+             else (spec.in_channels, spec.iy, spec.ix))
+    return rng.integers(-128, 128, size=(1,) + shape, dtype=np.int8)
+
+
+def run_kinds(cache_dir: str, models=MODELS, reps=REPS) -> dict:
+    """Median per-step time of each natively covered step kind over
+    ``models`` (digital), native kernel vs. the fast kernel, each step
+    checked byte-identical first."""
+    times = {}
+    rng = np.random.default_rng(0)
+    for model in models:
+        _, soc, compiled = _compiled(model, "digital")
+        mod = load_native_module(compiled, cache_dir)
+        for i in sorted(mod.native_idx):
+            step = compiled.steps[i]
+            spec = step.spec
+            accel = soc.accelerator(step.accel_target)
+            x = _step_input(spec, rng)
+            y = _step_input(spec, rng) if spec.kind == "add" else None
+            if not np.array_equal(mod.run_step(i, spec, x, y),
+                                  execute_layer_fast(accel, spec, x, y)):
+                raise DivergenceError(f"{model}/{step.name}: native != fast")
+            row = times.setdefault(spec.kind, ([], []))
+            row[0].append(median_of(mod.run_step, reps, i, spec, x, y))
+            row[1].append(median_of(execute_layer_fast, reps,
+                                    accel, spec, x, y))
+    return {kind: {"steps": len(native),
+                   "native_ms": 1e3 * statistics.median(native),
+                   "fast_ms": 1e3 * statistics.median(fast),
+                   "min_speedup_vs_fast": min(
+                       f / max(n, 1e-12) for n, f in zip(native, fast))}
+            for kind, (native, fast) in sorted(times.items())}
+
+
 def run_bench(cache_dir: str, models=MODELS, reps=REPS,
               write=True) -> dict:
     compiler = find_c_compiler()
@@ -113,15 +156,14 @@ def run_bench(cache_dir: str, models=MODELS, reps=REPS,
                                    force=True)
         cold_build_s = time.perf_counter() - t0
         assert lib is not None, f"{model}: native build failed"
-        warm_load_s = best_of(lambda: NativeModule(lib, compiled),
-                              max(1, reps // 2))
+        warm_load_s = median_of(NativeModule, max(1, reps // 2),
+                                lib, compiled)
 
         native = Executor(soc, exec_mode="native",
                           native_cache_dir=cache_dir)
         fast = Executor(soc, exec_mode="fast")
-        native.run(compiled, feeds)  # prime the module cache
-        native_s = best_of(lambda: native.run(compiled, feeds), reps)
-        fast_s = best_of(lambda: fast.run(compiled, feeds), reps)
+        native_s = median_of(native.run, reps, compiled, feeds)
+        fast_s = median_of(fast.run, reps, compiled, feeds)
         per_model[model] = {
             "cold_build_s": cold_build_s,
             "warm_load_s": warm_load_s,
@@ -138,6 +180,7 @@ def run_bench(cache_dir: str, models=MODELS, reps=REPS,
         "compiler": compiler,
         "reps": reps,
         "models": per_model,
+        "kinds": run_kinds(cache_dir, models=models, reps=reps),
         "table1_equivalence": run_check(cache_dir, models=()),
         # headline: the serving win where the whole network runs in one
         # native call (null when toyadmos was excluded)
@@ -152,7 +195,7 @@ def run_bench(cache_dir: str, models=MODELS, reps=REPS,
 
 def _format(record: dict) -> str:
     lines = [f"native backend bench (digital, {record['compiler']}, "
-             f"best of {record['reps']}):"]
+             f"median of {record['reps']}):"]
     for model, r in record["models"].items():
         lines.append(
             f"  {model:<10} build {r['cold_build_s'] * 1e3:7.1f} ms   "
@@ -161,6 +204,12 @@ def _format(record: dict) -> str:
             f"native {r['native_s'] * 1e3:7.3f} ms "
             f"({r['speedup_vs_fast']:.2f}x"
             f"{', full-run' if r['full_run'] else ''})")
+    lines.append("  per step kind (median over native steps):")
+    for kind, r in record["kinds"].items():
+        lines.append(
+            f"    {kind:<9} {r['steps']:3d} steps   "
+            f"fast {r['fast_ms']:7.3f} ms   native {r['native_ms']:7.3f} ms"
+            f"   (worst step {r['min_speedup_vs_fast']:.2f}x)")
     if record["toyadmos_speedup"] is not None:
         lines.append(f"  toyadmos steady-state speedup: "
                      f"{record['toyadmos_speedup']:.2f}x")
@@ -192,7 +241,7 @@ def main(argv=None) -> int:
     global OUT
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--reps", type=int, default=REPS,
-                        help="timing repetitions (best-of)")
+                        help="timing repetitions (median)")
     parser.add_argument("--models", nargs="+", default=list(MODELS),
                         choices=sorted(MLPERF_TINY))
     parser.add_argument("--check", action="store_true",

@@ -553,7 +553,7 @@ class NativeModule:
             return None
         if x.dtype != np.int8 or (y is not None and y.dtype != np.int8):
             return None
-        if spec.kind in ("conv2d", "dwconv2d"):
+        if spec.kind == "dwconv2d":
             per_shape = (spec.in_channels, spec.iy, spec.ix)
             out_tail = (spec.out_channels, spec.oy, spec.ox)
         elif spec.kind == "dense":

@@ -11,8 +11,8 @@ served natively (``exec_mode="native"``).
 One library per compiled model, emitted as :class:`NativeSources` and
 split into translation units by the build layer:
 
-* one kernel per *distinct* accelerator layer (``conv2d``,
-  ``dwconv2d``, ``dense``, ``add``) replicating the accumulate → bias
+* one kernel per *distinct* accelerator layer (``dwconv2d``,
+  ``dense``, ``add``) replicating the accumulate → bias
   → round-half-up shift → clip → int8 tail of
   :func:`repro.numerics.requantize_acc` / ``bias_requantize``. Weights
   and bias are arguments and the symbol is a hash of the body, so
@@ -65,8 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: core imports codegen
 #: changes; baked into the library and checked at load time.
 NATIVE_ABI_VERSION = 2
 
-#: accelerator step kinds the emitter covers.
-SUPPORTED_KINDS = ("conv2d", "dwconv2d", "dense", "add")
+#: accelerator step kinds the emitter covers: each beats the ``fast``
+#: kernel on every zoo layer. Dense ``conv2d`` runs on BLAS instead, as
+#: the C loop nest was slower on 26 of the 28 zoo conv layers (ResNet-8
+#: 3x3 C=32 16x16: 1.07 vs 0.24 ms at -O3; see docs/NATIVE.md).
+SUPPORTED_KINDS = ("dwconv2d", "dense", "add")
 
 #: largest MAC reduction length safe for a plain int32 accumulator:
 #: |int8 * int8| <= 2**14 per tap, so R taps are bounded by R << 14,
@@ -80,8 +83,7 @@ _I8_DTYPES = ("int8", "int7")
 def _reduction(spec: LayerSpec) -> int:
     if spec.kind == "dense":
         return spec.in_channels
-    cg = 1 if spec.kind == "dwconv2d" else spec.in_channels
-    return cg * spec.fy * spec.fx
+    return spec.fy * spec.fx
 
 
 def _step_native_ok(step) -> bool:
@@ -101,8 +103,6 @@ def _step_native_ok(step) -> bool:
         if spec.weight is None:
             return False
         if spec.kind == "dwconv2d" and spec.groups != spec.in_channels:
-            return False
-        if spec.kind == "conv2d" and spec.groups != 1:
             return False
     return True
 
@@ -145,7 +145,7 @@ def full_run_eligible(model: CompiledModel,
         in_elems = [_buffer_elems(model, n) for n in step.input_names]
         if out_elems is None or any(e is None for e in in_elems):
             return False
-        if spec.kind in ("conv2d", "dwconv2d"):
+        if spec.kind == "dwconv2d":
             if in_elems[0] != spec.in_channels * spec.iy * spec.ix:
                 return False
             if out_elems != spec.out_channels * spec.oy * spec.ox:
@@ -216,8 +216,7 @@ def _emit_tail(w: CWriter, spec: LayerSpec, acc_expr: str, acc64: bool,
     w.line(f"{dst} = (int8_t)v;")
 
 
-def _emit_conv_kernel(w: CWriter, spec: LayerSpec):
-    dw = spec.kind == "dwconv2d"
+def _emit_dwconv_kernel(w: CWriter, spec: LayerSpec):
     C, K = spec.in_channels, spec.out_channels
     IY, IX, OY, OX = spec.iy, spec.ix, spec.oy, spec.ox
     FY, FX = spec.fy, spec.fx
@@ -255,27 +254,17 @@ def _emit_conv_kernel(w: CWriter, spec: LayerSpec):
     _emit_badd(w, spec, "k")
     w.open(f"for (int32_t oy = 0; oy < {OY}; ++oy)")
     w.line(f"{acc_t} acc[{OX}] = {{0}};")
-    if dw:
-        w.open(f"for (int32_t fy = 0; fy < {FY}; ++fy)")
-        w.line(f"const int8_t* xr = xs + ((int64_t)k * {IYP} "
-               f"+ oy * {SY} + fy) * {IXP};")
-        w.line(f"const int8_t* wr = wgt + ((int64_t)k * {FY} + fy) * {FX};")
-    else:
-        w.open(f"for (int32_t c = 0; c < {C}; ++c)")
-        w.open(f"for (int32_t fy = 0; fy < {FY}; ++fy)")
-        w.line(f"const int8_t* xr = xs + ((int64_t)c * {IYP} "
-               f"+ oy * {SY} + fy) * {IXP};")
-        w.line(f"const int8_t* wr = wgt + (((int64_t)k * {C} + c) "
-               f"* {FY} + fy) * {FX};")
+    w.open(f"for (int32_t fy = 0; fy < {FY}; ++fy)")
+    w.line(f"const int8_t* xr = xs + ((int64_t)k * {IYP} "
+           f"+ oy * {SY} + fy) * {IXP};")
+    w.line(f"const int8_t* wr = wgt + ((int64_t)k * {FY} + fy) * {FX};")
     w.open(f"for (int32_t fx = 0; fx < {FX}; ++fx)")
     w.line("const int32_t wv = wr[fx];")
     w.line("const int8_t* xc = xr + fx;")
     w.open(f"for (int32_t ox = 0; ox < {OX}; ++ox)")
     w.line(f"acc[ox] += wv * (int32_t)xc[(int64_t)ox * {SX}];")
     w.close().close()
-    w.close()
-    if not dw:
-        w.close()
+    w.close()  # fy
     w.line(f"int8_t* orow = ob + ((int64_t)k * {OY} + oy) * {OX};")
     w.open(f"for (int32_t ox = 0; ox < {OX}; ++ox)")
     _emit_tail(w, spec, "acc[ox]", acc64, "orow[ox]")
@@ -332,8 +321,7 @@ def _emit_add_kernel(w: CWriter, spec: LayerSpec):
 
 
 _KERNEL_EMITTERS = {
-    "conv2d": _emit_conv_kernel,
-    "dwconv2d": _emit_conv_kernel,
+    "dwconv2d": _emit_dwconv_kernel,
     "dense": _emit_dense_kernel,
     "add": _emit_add_kernel,
 }

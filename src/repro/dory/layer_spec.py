@@ -55,6 +55,12 @@ class LayerSpec:
     def is_depthwise(self) -> bool:
         return self.kind == "dwconv2d"
 
+    @property
+    def channel_tied(self) -> bool:
+        """Output channel k reads input channel k only (depthwise, add):
+        its tiles read c0:c1 == k0:k1 and never split a reduction."""
+        return self.is_depthwise or self.kind == "add"
+
     def macs(self) -> int:
         if self.kind == "add":
             return 0

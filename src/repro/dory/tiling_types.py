@@ -121,7 +121,7 @@ def tiles_of(spec: LayerSpec, cfg: TileConfig) -> Iterator[Tile]:
                 else:  # dense / add: input ranges mirror output ranges
                     iy0, iy1, pt, pb = oy0, oy1, 0, 0
                     ix0, ix1, pl, pr = ox0, ox1, 0, 0
-                if spec.is_depthwise or spec.kind == "add":
+                if spec.channel_tied:
                     yield Tile(k0, k1, oy0, oy1, ox0, ox1, k0, k1,
                                iy0, iy1, ix0, ix1, pt, pb, pl, pr)
                     continue

@@ -75,7 +75,8 @@ def _check_geometry(step: AccelStep, compiled: CompiledModel,
 
 def _check_tiles(step: AccelStep, compiled: CompiledModel,
                  diags: List[Diagnostic]) -> None:
-    """Tile loop covers the written output exactly, reductions tile C."""
+    """Tile loop covers the written output exactly, reductions tile C
+    (a channel-tied tile's own channels only)."""
     spec, cfg = step.spec, step.tiling.cfg
     out_buf = compiled.buffers.get(step.output_name)
     if out_buf is not None and \
@@ -102,7 +103,7 @@ def _check_tiles(step: AccelStep, compiled: CompiledModel,
             return
         if t.last_reduction:
             coverage[t.k0:t.k1, t.oy0:t.oy1, t.ox0:t.ox1] += 1
-        red_blocks.setdefault((t.k0, t.oy0, t.ox0), []).append(
+        red_blocks.setdefault((t.k0, t.k1, t.oy0, t.ox0), []).append(
             (t.c0, t.c1, t.last_reduction))
     if coverage.min() < 1:
         missed = int((coverage == 0).sum())
@@ -116,20 +117,22 @@ def _check_tiles(step: AccelStep, compiled: CompiledModel,
             "V-PLAN-004", _STAGE,
             f"tile loop writes {multi} output elements more than once "
             "(overlap)", step.name))
-    for (k0, oy0, ox0), blocks in red_blocks.items():
-        cursor = 0
-        bad = blocks[-1][1] != spec.in_channels or not blocks[-1][2] \
+    for (k0, k1, oy0, ox0), blocks in red_blocks.items():
+        c_start, c_end = (k0, k1) if spec.channel_tied \
+            else (0, spec.in_channels)
+        cursor = c_start
+        bad = blocks[-1][1] != c_end or not blocks[-1][2] \
             or any(last for c0, c1, last in blocks[:-1])
         for c0, c1, _last in blocks:
             if c0 != cursor or c1 <= c0:
                 bad = True
                 break
             cursor = c1
-        if bad or cursor != spec.in_channels:
+        if bad or cursor != c_end:
             diags.append(error(
                 "V-PLAN-004", _STAGE,
                 f"partial-sum blocks of output tile ({k0},{oy0},{ox0}) do"
-                f" not tile the {spec.in_channels} input channels exactly",
+                f" not tile input channels {c_start}:{c_end} exactly",
                 step.name))
             return
 

@@ -27,7 +27,8 @@ from repro.codegen.build import (
     source_key,
 )
 from repro.codegen.native import (
-    emit_kernel, emit_native_sources, full_run_eligible, native_step_indices,
+    SUPPORTED_KINDS, emit_kernel, emit_native_sources, full_run_eligible,
+    native_step_indices,
 )
 from repro.core import CompilerConfig, compile_model
 from repro.errors import OutOfMemoryError
@@ -115,6 +116,48 @@ class TestNativeBitExact:
         assert full_run_eligible(compiled, frozenset(idx))
         mod = load_native_module(compiled, cache_dir=shared_cache)
         assert mod is not None and mod.has_full_run
+
+
+class TestDenseConvOnBlas:
+    """Dense ``conv2d`` gets no native kernel: native mode runs it on
+    the BLAS-backed fast kernel, exactly."""
+
+    @pytest.mark.parametrize("model", sorted(MLPERF_TINY))
+    @pytest.mark.parametrize("config", ACCEL_CONFIGS)
+    def test_native_steps_exclude_dense_conv(self, model, config):
+        _, _, compiled = _compile_cell(model, config)
+        kinds = {compiled.steps[i].spec.kind
+                 for i in native_step_indices(compiled)}
+        assert "conv2d" not in kinds
+        assert kinds <= set(SUPPORTED_KINDS)
+
+    @needs_cc
+    def test_conv_step_matches_fast(self, digital_soc, small_cnn,
+                                    shared_cache):
+        compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
+        convs = [i for i, step in enumerate(compiled.steps)
+                 if getattr(step, "spec", None) is not None
+                 and step.spec.kind == "conv2d"]
+        assert convs
+        mod = load_native_module(compiled, cache_dir=shared_cache)
+        assert mod is not None  # the dense and add steps are native
+        rng = np.random.default_rng(2)
+        for i in convs:
+            spec = compiled.steps[i].spec
+            x = rng.integers(-128, 128, size=(1, spec.in_channels, spec.iy,
+                                              spec.ix), dtype=np.int8)
+            assert not mod.step_supported(i)
+            assert mod.run_step(i, spec, x) is None
+        feeds = random_inputs(small_cnn, seed=4)
+        nat = Executor(digital_soc, exec_mode="native",
+                       native_cache_dir=shared_cache).run(compiled, feeds)
+        fast = Executor(digital_soc, exec_mode="fast").run(compiled, feeds)
+        assert nat.output.tobytes() == fast.output.tobytes()
+        assert (nat.output.dtype, nat.output.shape) \
+            == (fast.output.dtype, fast.output.shape)
+        assert [(r.name, r.cycles) for r in nat.perf.records] \
+            == [(r.name, r.cycles) for r in fast.perf.records]
+        assert nat.total_cycles == fast.total_cycles
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +494,13 @@ class TestEmission:
 # one kernel per distinct layer
 # ---------------------------------------------------------------------------
 
-def _conv_chain(depth: int = 3, channels: int = 16, hw: int = 24):
-    """Same-geometry padded convs: one shared kernel, one full run."""
-    b = GraphBuilder(name="conv_chain", seed=3)
+def _dwconv_chain(depth: int = 3, channels: int = 16, hw: int = 24):
+    """Same-geometry padded depthwise convs: one shared kernel, one
+    full run."""
+    b = GraphBuilder(name="dwconv_chain", seed=3)
     x = b.input("data", (1, channels, hw, hw), "int8")
     for _ in range(depth):
-        x = b.conv2d_requant(x, channels, kernel=3, padding=(1, 1))
+        x = b.dwconv2d_requant(x, kernel=3, padding=(1, 1))
     return b.finish(x)
 
 
@@ -465,7 +509,9 @@ class TestKernelDedup:
         compiled = compile_model(MLPERF_TINY["dscnn"](precision="int8"),
                                  digital_soc, CompilerConfig())
         src = emit_native_sources(compiled)
-        assert len(src.step_kernels) == 10 and len(src.kernels) == 4
+        # dense conv runs on the BLAS kernel: the four depthwise blocks
+        # share one kernel, the classifier has its own
+        assert len(src.step_kernels) == 5 and len(src.kernels) == 2
         by_sym = {}
         for i, sym in src.step_kernels.items():
             by_sym.setdefault(sym, []).append(i)
@@ -509,11 +555,14 @@ class TestKernelDedup:
 
     def test_requant_constants_are_never_merged(self, digital_soc,
                                                 small_cnn):
-        compiled = compile_model(small_cnn, digital_soc, CompilerConfig())
-        for step in compiled.steps:
-            spec = getattr(step, "spec", None)
-            if spec is None or spec.kind not in ("conv2d", "dense", "add"):
-                continue
+        specs = [step.spec
+                 for graph in (small_cnn, _dwconv_chain(depth=1))
+                 for step in compile_model(graph, digital_soc,
+                                           CompilerConfig()).steps
+                 if getattr(step, "spec", None) is not None
+                 and step.spec.kind in SUPPORTED_KINDS]
+        assert {s.kind for s in specs} == set(SUPPORTED_KINDS)
+        for spec in specs:
             sym, _ = emit_kernel(spec)
             w = None if spec.weight is None else spec.weight + 1
             same = dataclasses.replace(spec, name="other", weight=w)
@@ -528,7 +577,7 @@ class TestKernelDedup:
     def test_shared_padding_scratch(self, tmp_path, digital_soc):
         """Steps sharing one padded kernel share its static scratch; the
         module lock and the sequential full run keep that exact."""
-        graph = _conv_chain()
+        graph = _dwconv_chain()
         compiled = compile_model(graph, digital_soc, CompilerConfig())
         src = emit_native_sources(compiled)
         assert len(set(src.step_kernels.values())) == 1

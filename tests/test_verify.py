@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+import repro.verify.plan_checks as plan_checks
 from repro.core.compiler import compile_model
 from repro.core.program import AccelStep
 from repro.errors import ArtifactError, VerificationError
@@ -200,6 +201,42 @@ class TestPlanChecks:
         codes = [d.code for d in check_compiled_plan(compiled)]
         assert "V-PLAN-004" in codes  # tile grid no longer covers output
         assert "V-PLAN-008" in codes  # buffer geometry disagrees too
+
+    @pytest.mark.parametrize("model,config", [
+        ("mobilenet", "digital"), ("mobilenet", "mixed"),
+        ("resnet", "analog")])
+    def test_channel_tied_tiles_verify_clean_at_16kb(self, model, config,
+                                                     tmp_path):
+        # a 16 kB L1 splits K, so depthwise/add tiles read c0:c1 ==
+        # k0:k1 rather than all input channels
+        precision, soc_kwargs, cfg = CONFIGS[config]
+        cfg = dataclasses.replace(cfg, l1_budget=16 * 1024)
+        soc = DianaSoC(**soc_kwargs)
+        compiled = compile_model(MLPERF_TINY[model](precision=precision),
+                                 soc, cfg)
+        assert any(isinstance(s, AccelStep) and s.spec.channel_tied
+                   and s.tiling.cfg.k_t < s.spec.out_channels
+                   for s in compiled.steps)
+        result = verify_model(compiled, soc, cfg)
+        assert result.diagnostics == []
+        path = str(tmp_path / "m.dna")
+        save_artifact(path, compiled, soc, cfg)
+        load_artifact(path, verify=True)
+
+    def test_depthwise_tile_off_its_channels(self, monkeypatch):
+        compiled, soc, cfg = _compile_cell("mobilenet", "digital")
+        real = plan_checks.tiles_of
+
+        def shifted(spec, tcfg):
+            for t in real(spec, tcfg):
+                if spec.is_depthwise:
+                    t = dataclasses.replace(t, c0=t.c0 + 1, c1=t.c1 + 1)
+                yield t
+
+        monkeypatch.setattr(plan_checks, "tiles_of", shifted)
+        diags = check_compiled_plan(compiled)
+        assert diags and {d.code for d in diags} == {"V-PLAN-004"}
+        assert all("not tile input channels" in d.message for d in diags)
 
     def test_l1_budget_violation(self):
         compiled, soc, cfg = _compile_cell("resnet", "digital")
